@@ -11,13 +11,20 @@
 //! [`REQUESTS`] requests out across the leg's client threads over
 //! pre-connected streams; requests/sec = `REQUESTS / mean time`
 //! (the `requests_per_iter` context key records the numerator).
+//!
+//! The `frame_checksum` group times the checksum that both ends pay on
+//! every served frame: the word-wise `frame_checksum` and the byte-wise
+//! `fnv1a` that legacy frames carried, back to back over the same
+//! payload — a [`REQUESTS`]-pair batch response from the warm corpus,
+//! the frame the batched legs receive.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cupid_corpus::synthetic::{generate, SyntheticConfig};
 use cupid_eval::configs;
+use cupid_model::wire::{fnv1a, frame_checksum};
 use cupid_model::Schema;
 use cupid_repo::Repository;
-use cupid_serve::{ServeClient, ServeOptions, Server};
+use cupid_serve::{BatchOutcome, Response, ServeClient, ServeOptions, Server};
 use std::hint::black_box;
 use std::sync::Mutex;
 
@@ -50,13 +57,30 @@ fn bench_serve(c: &mut Criterion) {
     let snap = dir.join("warm.repo");
 
     // Warm snapshot: every pair executed and cached.
-    {
+    let (kind, payload) = {
         let mut repo = Repository::open_or_create(&snap, &cfg, &th).expect("open");
         repo.add_corpus(&corpus).expect("corpus prepares");
         let total = repo.match_all_pairs().len();
         repo.save().expect("snapshot");
         criterion::set_context("total_pairs", total);
-    }
+        let entries = (0..SCHEMAS)
+            .flat_map(|i| ((i + 1)..SCHEMAS).map(move |j| (i, j)))
+            .take(REQUESTS)
+            .map(|(i, j)| {
+                Ok(BatchOutcome::Matched {
+                    source: names[i].clone(),
+                    target: names[j].clone(),
+                    summary: repo.cached_pair_at(i, j).expect("cached"),
+                })
+            })
+            .collect();
+        Response::Batch { entries }.encode()
+    };
+    criterion::set_context("frame_checksum_payload_bytes", payload.len());
+    let mut g = c.benchmark_group("frame_checksum");
+    g.bench_function("word_wise", |b| b.iter(|| frame_checksum(kind, black_box(&payload))));
+    g.bench_function("fnv1a", |b| b.iter(|| fnv1a(black_box(&payload))));
+    g.finish();
 
     let server =
         Server::bind("127.0.0.1:0", &snap, &cfg, &th, ServeOptions::default()).expect("bind");

@@ -19,6 +19,22 @@
 //! encode/decode — [`Schema`] and [`SchemaTree`] have private fields,
 //! so their wire code lives here — plus [`Schema::content_hash`], the
 //! key of the repository's incremental pair cache.
+//!
+//! Two hashes live here, for two different jobs:
+//!
+//! * [`fnv1a`] is the workspace's *identity* hash: schema content
+//!   hashes, config and thesaurus fingerprints, the snapshot's trailing
+//!   checksum and the journal's `snapshot_id`. Those values are
+//!   persisted and compared across builds, so they stay FNV-1a for
+//!   good.
+//! * [`frame_checksum`] guards the frames of the daemon protocol and of
+//!   the on-disk journal ([`write_frame`]/[`read_frame`]). Every served
+//!   answer is hashed by both ends of the connection, so it is
+//!   word-wise: four independent lanes over little-endian `u64` words
+//!   instead of one dependent multiply per byte. Frames carrying it
+//!   open with [`FRAME_MAGIC`] (`CPD2`); frames opening with
+//!   [`LEGACY_FRAME_MAGIC`] (`CPDF`, checksummed with FNV-1a) are still
+//!   read, never written, because journals on disk are made of them.
 
 use crate::element::{BroadType, DataType, Element, ElementId, ElementKind};
 use crate::schema::{Edges, Schema};
@@ -220,9 +236,20 @@ impl<'a> WireReader<'a> {
 
 // --- framed messages --------------------------------------------------
 
-/// Leading magic of every wire frame (the daemon protocol's message
-/// container; see `cupid-serve`).
-pub const FRAME_MAGIC: [u8; 4] = *b"CPDF";
+/// Leading magic of every frame [`write_frame`] emits (the daemon
+/// protocol's message container, see `cupid-serve`, and the journal's
+/// record container, see `cupid-repo`). The frame carries a
+/// [`frame_checksum`]. The first byte is not `G`, so the daemon's
+/// `GET ` sniff tells HTTP scrapes from frames on byte one; and no
+/// single bit flip turns it into [`LEGACY_FRAME_MAGIC`].
+pub const FRAME_MAGIC: [u8; 4] = *b"CPD2";
+
+/// Leading magic of legacy frames, checksummed with byte-wise FNV-1a
+/// over kind + payload. [`read_frame`] still verifies them — journals
+/// written before [`FRAME_MAGIC`] existed are made of them, and
+/// rejecting those at replay would drop acknowledged mutations — but
+/// nothing writes them any more.
+pub const LEGACY_FRAME_MAGIC: [u8; 4] = *b"CPDF";
 
 /// Upper bound on a frame payload. Protects both ends of a connection
 /// from allocating gigabytes off one corrupt (or hostile) length
@@ -261,11 +288,11 @@ impl From<std::io::Error> for FrameError {
 /// Write one length-prefixed, checksummed frame:
 ///
 /// ```text
-/// magic    4 bytes   b"CPDF"
+/// magic    4 bytes   b"CPD2" (FRAME_MAGIC)
 /// kind     u8        message discriminator (the caller's namespace)
 /// len      u32 LE    payload length, at most MAX_FRAME_PAYLOAD
 /// payload  len bytes
-/// checksum u64 LE    fnv1a over kind byte + payload
+/// checksum u64 LE    frame_checksum(kind, payload)
 /// ```
 ///
 /// The checksum makes corruption on the stream loud: a reader never
@@ -294,7 +321,9 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), F
     Ok(())
 }
 
-/// Read one frame written by [`write_frame`].
+/// Read one frame written by [`write_frame`], or a legacy frame
+/// ([`LEGACY_FRAME_MAGIC`], FNV-1a checksum) as older builds wrote it.
+/// The magic selects the checksum; any other magic is malformed.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed the
 /// connection *between* frames); end-of-stream anywhere inside a frame
@@ -315,9 +344,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, FrameError
     // one read_exact instead of three — the read-side mirror of
     // write_frame's single buffered write.
     r.read_exact(&mut header[1..])?;
-    if header[..4] != FRAME_MAGIC {
-        return Err(FrameError::Malformed(format!("bad magic {:02x?}", &header[..4])));
-    }
+    let checksum: fn(u8, &[u8]) -> u64 = match header[..4].try_into().expect("4 magic bytes") {
+        FRAME_MAGIC => frame_checksum,
+        LEGACY_FRAME_MAGIC => legacy_frame_checksum,
+        _ => return Err(FrameError::Malformed(format!("bad magic {:02x?}", &header[..4]))),
+    };
     let kind = header[4];
     let len = u32::from_le_bytes(header[5..9].try_into().expect("4 header bytes")) as usize;
     if len > MAX_FRAME_PAYLOAD {
@@ -331,7 +362,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, FrameError
     let stored = u64::from_le_bytes(body[len..].try_into().expect("8 checksum bytes"));
     body.truncate(len);
     let payload = body;
-    let actual = frame_checksum(kind, &payload);
+    let actual = checksum(kind, &payload);
     if stored != actual {
         return Err(FrameError::Malformed(format!(
             "checksum mismatch: stored {stored:#x}, actual {actual:#x}"
@@ -340,10 +371,79 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, FrameError
     Ok(Some((kind, payload)))
 }
 
-/// The checksum a frame carries: FNV-1a over the kind byte followed by
-/// the payload.
-fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
-    fnv1a_extend(fnv1a_extend(FNV_OFFSET_BASIS, &[kind]), payload)
+/// Independent lanes of [`frame_checksum`].
+const LANES: usize = 4;
+/// Bytes per [`frame_checksum`] block: one `u64` word per lane.
+const BLOCK: usize = 8 * LANES;
+/// Left rotation closing each lane step of [`frame_checksum`].
+const LANE_ROTATION: u32 = 29;
+/// Odd multiplier of the [`frame_checksum`] fold (2⁶⁴ / φ).
+const FOLD_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The checksum a [`FRAME_MAGIC`] frame carries: a word-wise FNV-style
+/// hash of the kind byte, the payload length and the payload.
+///
+/// Specification (all arithmetic wrapping mod 2⁶⁴, `P` the 64-bit FNV
+/// prime, `B` the FNV offset basis):
+///
+/// 1. Lane `i` of four starts at `B ^ i`.
+/// 2. The payload is cut into 32-byte blocks; block word `i` (bytes
+///    `8i..8i+8`, little-endian) steps lane `i`:
+///    `lane = rotl((lane ^ word) · P, 29)`.
+/// 3. The tail of fewer than 32 bytes is hashed byte by byte with
+///    [`fnv1a`].
+/// 4. The fold `h ↦ xorshift32((h ^ v) · 0x9e3779b97f4a7c15)`, where
+///    `xorshift32(x) = x ^ (x >> 32)`, runs from `h = B` over
+///    `v = kind, len, lane 0, lane 1, lane 2, lane 3, tail hash`; the
+///    last `h` is the checksum.
+///
+/// The four lanes are independent dependency chains, so a core keeps
+/// four multiplies in flight and consumes 32 bytes per lane-step
+/// latency, where byte-wise FNV-1a consumes one byte per multiply.
+///
+/// Why a corrupted frame still fails: every step used here is a
+/// bijection in each of its inputs when the other is held fixed —
+/// `x ↦ x ^ c`, multiplication by an odd constant, a rotation and
+/// `x ↦ x ^ (x >> 32)` all are — and so are the composite lane step,
+/// the byte-wise FNV-1a step and the fold. A change confined to one
+/// payload word therefore changes its lane at that step; no later step
+/// of that lane can bring the two states back together (a bijection
+/// never maps two states to one); the fold turns the changed lane into
+/// a changed result; and the checksum differs. The same holds for a
+/// change confined to one tail byte, to the kind or to the length, so
+/// *every* single-bit error — and every error burst inside one aligned
+/// word — is detected with certainty. Wider damage goes unnoticed only
+/// if it happens to collide, about one chance in 2⁶⁴ for damage that
+/// looks random.
+///
+/// The rotation is what keeps two-word errors in one lane from
+/// cancelling: multiplication only carries a difference upward, so
+/// without it a flip of bit 63 stays a flip of bit 63 in every later
+/// lane state, and flipping bit 63 of two words in the same lane
+/// would restore the original lane exactly.
+pub fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| FNV_OFFSET_BASIS ^ i as u64);
+    let mut blocks = payload.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let word = u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+            *lane = (*lane ^ word).wrapping_mul(FNV_PRIME).rotate_left(LANE_ROTATION);
+        }
+    }
+    let tail = fnv1a(blocks.remainder());
+    [kind as u64, payload.len() as u64].into_iter().chain(lanes).chain([tail]).fold(
+        FNV_OFFSET_BASIS,
+        |h, v| {
+            let x = (h ^ v).wrapping_mul(FOLD_MULTIPLIER);
+            x ^ (x >> 32)
+        },
+    )
+}
+
+/// The checksum a [`LEGACY_FRAME_MAGIC`] frame carries: FNV-1a over the
+/// kind byte followed by the payload.
+fn legacy_frame_checksum(kind: u8, payload: &[u8]) -> u64 {
+    fnv1a_extend(fnv1a(&[kind]), payload)
 }
 
 // --- journal record kinds ---------------------------------------------
@@ -428,10 +528,11 @@ pub const EXPLAIN_RESPONSE: u8 = 0x8D;
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold more bytes into a running FNV-1a state (the incremental form
-/// every FNV user in this module goes through, so the constants exist
-/// exactly once).
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+/// Fold more bytes into a running FNV-1a state: FNV-1a is incremental,
+/// so `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)` for all `a`, `b`.
+/// Callers that already hold the hash of a prefix (the repository's
+/// snapshot body, say) extend it instead of rehashing the whole.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -974,14 +1075,17 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_loud() {
+        // Three full 32-byte checksum blocks plus a 13-byte tail, so
+        // every lane and the byte-wise tail are exercised.
+        let payload: Vec<u8> = (0..109u32).map(|i| (i * 37 + 11) as u8).collect();
         let mut buf = Vec::new();
-        write_frame(&mut buf, 3, b"payload bytes").unwrap();
-        // Flipping any byte must fail to read (magic, kind/len/payload
+        write_frame(&mut buf, 3, &payload).unwrap();
+        // Flipping any bit must fail to read (magic, kind/len/payload
         // via checksum, or the checksum itself).
-        for i in 0..buf.len() {
+        for bit in 0..buf.len() * 8 {
             let mut broken = buf.clone();
-            broken[i] ^= 0x01;
-            assert!(read_frame(&mut &broken[..]).is_err(), "flipped byte {i} slipped through");
+            broken[bit / 8] ^= 1 << (bit % 8);
+            assert!(read_frame(&mut &broken[..]).is_err(), "flipped bit {bit} slipped through");
         }
         // Truncation inside the frame is an I/O error, not a hang or a
         // partial payload.
@@ -993,6 +1097,93 @@ mod tests {
         oversized[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(read_frame(&mut &oversized[..]), Err(FrameError::Malformed(_))));
         assert!(write_frame(&mut Vec::new(), 0, &vec![0u8; MAX_FRAME_PAYLOAD + 1]).is_err());
+    }
+
+    /// A frame as builds before [`FRAME_MAGIC`] wrote it, from the
+    /// legacy spec alone: `CPDF`, kind, length, payload, FNV-1a over
+    /// kind + payload.
+    fn legacy_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut frame = b"CPDF".to_vec();
+        frame.push(kind);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        let checked: Vec<u8> = std::iter::once(kind).chain(payload.iter().copied()).collect();
+        frame.extend_from_slice(&fnv1a(&checked).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn legacy_frames_still_decode() {
+        let payload: Vec<u8> = (0..77u8).collect();
+        let mut stream = legacy_frame(0x41, &payload);
+        write_frame(&mut stream, 0x42, b"new").unwrap();
+        stream.extend(legacy_frame(0x43, b""));
+        let mut r = &stream[..];
+        assert_eq!(read_frame(&mut r).unwrap(), Some((0x41, payload)));
+        assert_eq!(read_frame(&mut r).unwrap(), Some((0x42, b"new".to_vec())));
+        assert_eq!(read_frame(&mut r).unwrap(), Some((0x43, Vec::new())));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+
+        // Legacy frames are still verified: every flipped bit is loud.
+        let legacy = legacy_frame(7, b"legacy payload bytes");
+        for bit in 0..legacy.len() * 8 {
+            let mut broken = legacy.clone();
+            broken[bit / 8] ^= 1 << (bit % 8);
+            assert!(read_frame(&mut &broken[..]).is_err(), "flipped bit {bit} slipped through");
+        }
+    }
+
+    #[test]
+    fn writers_emit_only_the_word_wise_frame() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 9, b"payload").unwrap();
+        assert_eq!(buf[..4], FRAME_MAGIC);
+        assert_eq!(buf[buf.len() - 8..], frame_checksum(9, b"payload").to_le_bytes());
+        // The daemon's HTTP sniff decides on `GET `; neither magic may
+        // start like it.
+        assert_ne!(FRAME_MAGIC[0], b'G');
+        assert_ne!(LEGACY_FRAME_MAGIC[0], b'G');
+        // One flipped bit must never turn one magic into the other.
+        let distance: u32 =
+            FRAME_MAGIC.iter().zip(&LEGACY_FRAME_MAGIC).map(|(a, b)| (a ^ b).count_ones()).sum();
+        assert!(distance > 1);
+    }
+
+    #[test]
+    fn frame_checksum_known_answers() {
+        // Pinned: the checksum is part of the wire format, so any change
+        // to it must show up here, not in a peer that cannot read us.
+        assert_eq!(frame_checksum(0, b""), 0xe319_cfe2_fd50_5536);
+        assert_eq!(frame_checksum(0x8A, b"cupid"), 0xa479_fd45_e3fb_bd83);
+        let payload: Vec<u8> = (0..100u8).collect();
+        assert_eq!(frame_checksum(0x8A, &payload), 0xa462_52be_4dd4_8ec5);
+        // The whole frame, magic and layout included.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, 0x8A, &payload).unwrap();
+        assert_eq!(fnv1a(&frame), 0x1cdc_b66c_4c0b_2fb4);
+    }
+
+    #[test]
+    fn frame_checksum_covers_kind_length_and_every_word() {
+        let payload = vec![0u8; 256];
+        let base = frame_checksum(1, &payload);
+        assert_ne!(frame_checksum(2, &payload), base, "kind is folded in");
+        // Same all-zero content, one word longer: only the length (and
+        // one more lane step) tells them apart.
+        assert_ne!(frame_checksum(1, &[0u8; 264]), base, "length is folded in");
+        // Two words apart by a multiple of the block size share a lane.
+        // A flip of their top bits cancels unless the lane step mixes
+        // the difference down, which is what the rotation is for.
+        let mut twice = payload.clone();
+        twice[7] ^= 0x80;
+        twice[7 + BLOCK] ^= 0x80;
+        assert_ne!(frame_checksum(1, &twice), base, "same-lane top-bit flips cancelled");
+        // Swapping two lanes' words must not be invisible either.
+        let mut swapped = payload.clone();
+        swapped[0] = 1;
+        let mut other = payload;
+        other[8] = 1;
+        assert_ne!(frame_checksum(1, &swapped), frame_checksum(1, &other));
     }
 
     #[test]

@@ -140,12 +140,7 @@ impl DiscoveryIndex {
                 Candidate { schema: s, score: 2.0 * inter as f64 / denom as f64 }
             })
             .collect();
-        out.sort_by(|x, y| {
-            y.score
-                .partial_cmp(&x.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.schema.cmp(&y.schema))
-        });
+        out.sort_by(|x, y| y.score.total_cmp(&x.score).then(x.schema.cmp(&y.schema)));
         out.truncate(k);
         out
     }

@@ -20,6 +20,11 @@
 //! ...
 //! ```
 //!
+//! Frames are read in either wire format — current `CPD2` frames or
+//! legacy `CPDF` ones (FNV-1a checksums), which journals written by
+//! older builds consist of — and appended in the current one, so a
+//! journal may hold both (DESIGN.md §10.1).
+//!
 //! `snapshot_id` is the FNV-1a hash of the snapshot file the journal
 //! extends (0 for "no snapshot"), which is what makes the
 //! snapshot+journal pair crash-consistent *without* any cross-file

@@ -87,7 +87,7 @@ use cupid_core::{
     SessionStats,
 };
 use cupid_lexical::{SimStore, Thesaurus};
-use cupid_model::{fnv1a, ModelError, Schema};
+use cupid_model::{ModelError, Schema};
 
 pub mod fault;
 mod index;
@@ -374,8 +374,11 @@ impl<'a> Repository<'a> {
         };
         let mut state = None;
         let mut recovered_stale = None;
+        let mut snapshot_id = 0;
         if let Some(b) = &bytes {
-            match snapshot::decode(b, config.fingerprint(), thesaurus.fingerprint()) {
+            let checked = snapshot::check(b)?;
+            snapshot_id = checked.id;
+            match snapshot::decode(&checked, config.fingerprint(), thesaurus.fingerprint()) {
                 Ok(s) => state = Some(s),
                 Err(RepoError::Stale { reason }) => recovered_stale = Some(reason),
                 Err(e) => return Err(e),
@@ -385,7 +388,7 @@ impl<'a> Repository<'a> {
             version: JOURNAL_VERSION,
             config_fp: config.fingerprint(),
             thesaurus_fp: thesaurus.fingerprint(),
-            snapshot_id: bytes.as_deref().map(fnv1a).unwrap_or(0),
+            snapshot_id,
         };
         let journal_file = journal::journal_path(&path);
         let (journal, mut recovery) = Journal::open(&journal_file, header)
@@ -957,7 +960,7 @@ impl<'a> Repository<'a> {
             store: self.session.store(),
             cache: &self.pair_cache,
         };
-        let bytes =
+        let (bytes, snapshot_id) =
             snapshot::encode(&refs, self.config.fingerprint(), self.thesaurus.fingerprint());
         let tmp = self.path.with_extension("tmp");
         let io_err = |path: &Path, e: std::io::Error| RepoError::Io {
@@ -987,7 +990,7 @@ impl<'a> Repository<'a> {
             version: JOURNAL_VERSION,
             config_fp: self.config.fingerprint(),
             thesaurus_fp: self.thesaurus.fingerprint(),
-            snapshot_id: fnv1a(&bytes),
+            snapshot_id,
         };
         match self.journal.reset(header) {
             Ok(()) => {
@@ -1078,7 +1081,7 @@ impl CupidRepositoryExt for Cupid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cupid_model::{DataType, ElementKind, SchemaBuilder};
+    use cupid_model::{fnv1a, DataType, ElementKind, SchemaBuilder};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A unique, self-cleaning snapshot location per test.
@@ -1635,6 +1638,42 @@ mod tests {
         let warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
         assert_eq!(warm.names(), ["S0", "S1"]);
         assert_eq!(warm.durability().replayed_records, 1);
+    }
+
+    /// The journal header's `snapshot_id`, as the journal file holds it.
+    fn journal_snapshot_id(snapshot: &Path) -> u64 {
+        let bytes = std::fs::read(journal::journal_path(snapshot)).unwrap();
+        journal::scan(&bytes).header.expect("journal header").snapshot_id
+    }
+
+    #[test]
+    fn snapshot_id_is_fnv1a_of_the_snapshot_file() {
+        let tmp = TempRepo::new();
+        let config = CupidConfig::default();
+        let th = Thesaurus::with_default_stopwords();
+        {
+            let mut repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+            repo.add_corpus(&corpus()).unwrap();
+            repo.match_all_pairs();
+            repo.save().unwrap();
+            // After save: the id the save path derived from the encoder.
+            assert_eq!(journal_snapshot_id(&tmp.0), fnv1a(&std::fs::read(&tmp.0).unwrap()));
+            repo.remove("S3").unwrap();
+        }
+        // After reopening with a journal: the id the open path derived
+        // from the checked snapshot must name the same generation, or
+        // the journaled removal would be discarded instead of replayed.
+        {
+            let repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+            assert_eq!(repo.durability().replayed_records, 1);
+            assert_eq!(repo.durability().replay_discarded, None);
+            assert!(!repo.names().contains(&"S3".to_string()));
+        }
+        // After reopening without a journal: the fresh header carries
+        // the open path's id.
+        std::fs::remove_file(journal::journal_path(&tmp.0)).unwrap();
+        let _repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+        assert_eq!(journal_snapshot_id(&tmp.0), fnv1a(&std::fs::read(&tmp.0).unwrap()));
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! checksum     u64       fnv1a of every preceding byte
 //! ```
 //!
+//! The snapshot's id — the `snapshot_id` a journal header names — is
+//! FNV-1a of the whole file, checksum included. FNV-1a is incremental,
+//! so it is the body hash the checksum already is, extended over the
+//! checksum's eight bytes: [`encode`] and [`check`] return it without
+//! hashing the file a second time.
+//!
 //! Decoding is strict: bad magic, an unknown version, a checksum
 //! mismatch or any structural inconsistency is
 //! [`RepoError::Corrupt`]; fingerprints that do not match the opening
@@ -28,7 +34,7 @@ use std::collections::BTreeMap;
 
 use cupid_core::{MatchSummary, PreparedSchema};
 use cupid_lexical::{SimStore, TokenTable};
-use cupid_model::{fnv1a, Schema, WireReader, WireWriter};
+use cupid_model::{fnv1a, fnv1a_extend, Schema, WireReader, WireWriter};
 
 use crate::RepoError;
 
@@ -75,8 +81,13 @@ pub(crate) struct SnapshotRefs<'a> {
     pub cache: &'a BTreeMap<(u64, u64), MatchSummary>,
 }
 
-/// Encode a snapshot, appending the trailing checksum.
-pub(crate) fn encode(state: &SnapshotRefs<'_>, config_fp: u64, thesaurus_fp: u64) -> Vec<u8> {
+/// Encode a snapshot, appending the trailing checksum. Returns the
+/// file bytes and the snapshot's id.
+pub(crate) fn encode(
+    state: &SnapshotRefs<'_>,
+    config_fp: u64,
+    thesaurus_fp: u64,
+) -> (Vec<u8>, u64) {
     let mut w = WireWriter::new();
     w.put_bytes(MAGIC);
     w.put_u32(VERSION);
@@ -99,16 +110,20 @@ pub(crate) fn encode(state: &SnapshotRefs<'_>, config_fp: u64, thesaurus_fp: u64
     }
     let checksum = fnv1a(w.bytes());
     w.put_u64(checksum);
-    w.into_bytes()
+    (w.into_bytes(), fnv1a_extend(checksum, &checksum.to_le_bytes()))
 }
 
-/// Decode and validate a snapshot against the opening config/thesaurus
-/// fingerprints.
-pub(crate) fn decode(
-    bytes: &[u8],
-    config_fp: u64,
-    thesaurus_fp: u64,
-) -> Result<SnapshotState, RepoError> {
+/// Snapshot bytes whose trailing checksum [`check`] verified.
+pub(crate) struct Checked<'a> {
+    /// Everything before the checksum.
+    body: &'a [u8],
+    /// The snapshot's id: FNV-1a of the whole file.
+    pub id: u64,
+}
+
+/// Verify a snapshot's trailing checksum. Damage anywhere in the file
+/// is [`RepoError::Corrupt`]; nothing is decoded yet.
+pub(crate) fn check(bytes: &[u8]) -> Result<Checked<'_>, RepoError> {
     let corrupt = |message: String| RepoError::Corrupt { message };
     if bytes.len() < MAGIC.len() + 4 + 8 + 8 + 8 {
         return Err(corrupt(format!("{} bytes is too short for a snapshot", bytes.len())));
@@ -119,7 +134,18 @@ pub(crate) fn decode(
     if stored != actual {
         return Err(corrupt(format!("checksum mismatch: stored {stored:#x}, actual {actual:#x}")));
     }
-    let mut r = WireReader::new(body);
+    Ok(Checked { body, id: fnv1a_extend(actual, tail) })
+}
+
+/// Decode a checked snapshot and validate it against the opening
+/// config/thesaurus fingerprints.
+pub(crate) fn decode(
+    snapshot: &Checked<'_>,
+    config_fp: u64,
+    thesaurus_fp: u64,
+) -> Result<SnapshotState, RepoError> {
+    let corrupt = |message: String| RepoError::Corrupt { message };
+    let mut r = WireReader::new(snapshot.body);
     let magic = r.get_bytes(MAGIC.len()).map_err(|e| corrupt(e.to_string()))?;
     if magic != MAGIC {
         return Err(corrupt("bad magic: not a cupid repository snapshot".to_string()));
@@ -199,7 +225,8 @@ pub(crate) fn decode(
 mod tests {
     use super::*;
 
-    fn empty_bytes() -> Vec<u8> {
+    /// An empty snapshot's bytes and id.
+    fn empty_snapshot() -> (Vec<u8>, u64) {
         let (table, store, cache) = (TokenTable::new(), SimStore::new(), BTreeMap::new());
         let refs = SnapshotRefs {
             names: &[],
@@ -213,9 +240,24 @@ mod tests {
         encode(&refs, 1, 2)
     }
 
+    fn empty_bytes() -> Vec<u8> {
+        empty_snapshot().0
+    }
+
+    fn open(bytes: &[u8], config_fp: u64, thesaurus_fp: u64) -> Result<SnapshotState, RepoError> {
+        decode(&check(bytes)?, config_fp, thesaurus_fp)
+    }
+
+    #[test]
+    fn id_is_fnv1a_of_the_whole_file() {
+        let (bytes, id) = empty_snapshot();
+        assert_eq!(id, fnv1a(&bytes));
+        assert_eq!(check(&bytes).unwrap().id, id);
+    }
+
     #[test]
     fn empty_snapshot_round_trips() {
-        let state = decode(&empty_bytes(), 1, 2).unwrap();
+        let state = open(&empty_bytes(), 1, 2).unwrap();
         assert!(state.names.is_empty());
         assert!(state.cache.is_empty());
     }
@@ -223,8 +265,8 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_is_stale_not_corrupt() {
         let bytes = empty_bytes();
-        assert!(matches!(decode(&bytes, 99, 2), Err(RepoError::Stale { .. })));
-        assert!(matches!(decode(&bytes, 1, 99), Err(RepoError::Stale { .. })));
+        assert!(matches!(open(&bytes, 99, 2), Err(RepoError::Stale { .. })));
+        assert!(matches!(open(&bytes, 1, 99), Err(RepoError::Stale { .. })));
     }
 
     #[test]
@@ -233,7 +275,7 @@ mod tests {
         for i in 0..bytes.len() {
             let mut broken = bytes.clone();
             broken[i] ^= 0x01;
-            assert!(decode(&broken, 1, 2).is_err(), "flipping byte {i} must not decode silently");
+            assert!(open(&broken, 1, 2).is_err(), "flipping byte {i} must not decode silently");
         }
     }
 
@@ -241,7 +283,7 @@ mod tests {
     fn truncation_is_caught() {
         let bytes = empty_bytes();
         for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut], 1, 2).is_err(), "cut at {cut}");
+            assert!(open(&bytes[..cut], 1, 2).is_err(), "cut at {cut}");
         }
     }
 }

@@ -607,10 +607,10 @@ fn wait_for_frame(stream: &TcpStream, idle_timeout: Option<Duration>) -> FrameWa
 /// Ends when the peer closes, idles past the idle deadline, stalls past
 /// the frame deadline, sends a malformed frame, or the daemon drains.
 ///
-/// Connections that open with `GET ` instead of the `CPDF` frame magic
-/// are HTTP metrics scrapes — answered once and closed (DESIGN.md
-/// §13.3), so `/metrics` shares the daemon's port with the frame
-/// protocol.
+/// Connections that open with `GET ` instead of a frame magic (`CPD2`,
+/// or legacy `CPDF`) are HTTP metrics scrapes — answered once and
+/// closed (DESIGN.md §13.3), so `/metrics` shares the daemon's port
+/// with the frame protocol.
 fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
     let opts = &shared.options;
     // A peer that stops draining its receive window mid-response would
@@ -759,10 +759,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
 
 /// Does this just-arrived payload open with an HTTP `GET `? Peeks up to
 /// four bytes without consuming them, waiting briefly for slow writers;
-/// anything that diverges from `GET ` (the `CPDF` frame magic on byte
-/// one, say) is the frame protocol. A prefix of `GET ` that never
-/// completes falls through to the frame reader, which rejects the bad
-/// magic loudly.
+/// anything that diverges from `GET ` (either frame magic, `CPD2` or
+/// legacy `CPDF`, on byte one) is the frame protocol. A prefix of
+/// `GET ` that never completes falls through to the frame reader,
+/// which rejects the bad magic loudly.
 fn sniff_http(stream: &TcpStream, deadline: Option<Duration>) -> bool {
     let give_up = Instant::now() + deadline.unwrap_or(Duration::from_secs(2));
     let mut buf = [0u8; 4];

@@ -416,9 +416,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
             let listing = client.top_k(k).map_err(remote)?;
             println!("{} candidate pairs executed:", listing.summaries.len());
             let mut ranked: Vec<_> = listing.summaries.iter().collect();
-            ranked.sort_by(|a, b| {
-                b.best_wsim().partial_cmp(&a.best_wsim()).unwrap_or(std::cmp::Ordering::Equal)
-            });
+            ranked.sort_by(|a, b| b.best_wsim().total_cmp(&a.best_wsim()));
             for s in ranked.iter().take(10) {
                 println!(
                     "  {} ~ {}  best wsim {:.3}",

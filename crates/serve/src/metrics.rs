@@ -9,8 +9,8 @@
 //! plain `name{labels} value` lines, so no dependency is needed or
 //! wanted. The daemon serves it over HTTP on the *same* port as the
 //! frame protocol: an accepted connection whose first bytes are
-//! `GET ` (vs the `CPDF` frame magic) is answered as an HTTP/1.1
-//! request for `/metrics` and closed — so `curl
+//! `GET ` (vs the `CPD2` or legacy `CPDF` frame magic) is answered as
+//! an HTTP/1.1 request for `/metrics` and closed — so `curl
 //! http://host:port/metrics` works against any running daemon with no
 //! extra listener, flag, or port.
 //!

@@ -14,14 +14,26 @@
 //! * **Replay stops at the last valid record** — [`Journal::open`] on a
 //!   damaged file recovers that same prefix, truncates the tail, and a
 //!   second open replays the identical records with no further loss.
+//!
+//! Plus upgrade compatibility: a journal written entirely in legacy
+//! `CPDF` frames (FNV-1a checksums) replays exactly as its word-wise
+//! twin does, and later appends land in the current frame format behind
+//! it.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use cupid::core::CupidConfig;
 use cupid::io::parse_sdl;
-use cupid::model::wire::{JOURNAL_ADD, JOURNAL_HEADER, JOURNAL_REMOVE, JOURNAL_REPLACE};
-use cupid::model::write_frame;
-use cupid::repo::journal::{scan, Journal, JournalHeader, JournalRecord, JOURNAL_VERSION};
+use cupid::lexical::Thesaurus;
+use cupid::model::wire::{
+    FRAME_MAGIC, JOURNAL_ADD, JOURNAL_HEADER, JOURNAL_REMOVE, JOURNAL_REPLACE,
+};
+use cupid::model::{fnv1a, read_frame, write_frame};
+use cupid::repo::journal::{
+    journal_path, scan, Journal, JournalHeader, JournalRecord, JOURNAL_VERSION,
+};
+use cupid::repo::Repository;
 use proptest::prelude::*;
 
 /// A unique, self-cleaning journal location per test case.
@@ -213,4 +225,111 @@ proptest! {
         prop_assert_eq!(&again.records, &all[..damaged_frame - 1]);
         prop_assert!(again.discarded.is_none(), "second open is clean: {:?}", again.discarded);
     }
+}
+
+/// A frame in the legacy layout, built from its spec alone: `CPDF`,
+/// kind, `u32` LE length, payload, FNV-1a over kind + payload.
+fn legacy_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = b"CPDF".to_vec();
+    frame.push(kind);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let checked: Vec<u8> = std::iter::once(kind).chain(payload.iter().copied()).collect();
+    frame.extend_from_slice(&fnv1a(&checked).to_le_bytes());
+    frame
+}
+
+/// Re-frame every frame of a journal file in the legacy layout.
+fn to_legacy(mut bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    while let Some((kind, payload)) = read_frame(&mut bytes).unwrap() {
+        out.extend(legacy_frame(kind, &payload));
+    }
+    out
+}
+
+/// A journal of legacy frames — header plus `Add`/`Replace`/`Remove` —
+/// scans and opens to exactly the records it holds; an append after it
+/// is a current-format frame, and a reopen replays both.
+#[test]
+fn legacy_journal_replays_and_takes_current_appends() {
+    let header = header_from(7);
+    let all = records("Legacy", "Col", 7);
+    let legacy = to_legacy(&stream(&header, &all).0);
+    assert_eq!(&legacy[..4], b"CPDF");
+
+    let s = scan(&legacy);
+    assert_eq!(s.header, Some(header));
+    assert_eq!(s.records, all);
+    assert_eq!(s.valid_len as usize, legacy.len());
+    assert!(s.stopped.is_none(), "clean legacy stream: {:?}", s.stopped);
+
+    let tmp = TempJournal::new();
+    std::fs::write(&tmp.0, &legacy).unwrap();
+    let (mut journal, recovery) = Journal::open(&tmp.0, header).unwrap();
+    assert_eq!(recovery.records, all);
+    assert!(recovery.discarded.is_none(), "{:?}", recovery.discarded);
+    let extra = JournalRecord::Add(schema_from("Fresh", "Col", 9));
+    journal.append(&extra).unwrap();
+    journal.sync().unwrap();
+    drop(journal);
+
+    let bytes = std::fs::read(&tmp.0).unwrap();
+    assert_eq!(bytes[..legacy.len()], legacy[..], "legacy frames stay as written");
+    assert_eq!(bytes[legacy.len()..legacy.len() + 4], FRAME_MAGIC, "appends use the new magic");
+    let (_, again) = Journal::open(&tmp.0, header).unwrap();
+    let mut want = all;
+    want.push(extra);
+    assert_eq!(again.records, want);
+    assert!(again.discarded.is_none(), "{:?}", again.discarded);
+}
+
+/// Upgrade path at the repository level: a repository whose journal is
+/// all legacy frames reopens to the same schemas and bit-identical
+/// match results as with the same journal in current frames, and keeps
+/// journaling on top of it.
+#[test]
+fn legacy_journal_replays_into_an_identical_repository() {
+    let tmp = TempJournal::new();
+    let snap = tmp.0.with_file_name("cupid.repo");
+    let config = CupidConfig::default();
+    let thesaurus = Thesaurus::with_default_stopwords();
+    {
+        let mut repo = Repository::open_or_create(&snap, &config, &thesaurus).unwrap();
+        repo.add(&schema_from("Orders", "Qty", 1)).unwrap();
+        repo.add(&schema_from("Invoices", "Amount", 2)).unwrap();
+        repo.save().unwrap();
+        // Journaled, never saved: these live only in the journal.
+        repo.add(&schema_from("Lines", "Qty", 3)).unwrap();
+        repo.replace(&schema_from("Orders", "Qty", 4)).unwrap();
+        repo.remove("Invoices").unwrap();
+        repo.add(&schema_from("Bills", "Amount", 5)).unwrap();
+        repo.sync_journal().unwrap();
+    }
+    let journal_file = journal_path(&snap);
+    let current = std::fs::read(&journal_file).unwrap();
+    let reopen = || {
+        let mut repo = Repository::open_or_create(&snap, &config, &thesaurus).unwrap();
+        assert_eq!(repo.durability().replayed_records, 4);
+        assert_eq!(repo.durability().replay_discarded, None);
+        let schemas: Vec<_> =
+            repo.names().iter().map(|n| repo.schema(n).unwrap().content_hash()).collect();
+        (repo.names().to_vec(), schemas, repo.match_all_pairs())
+    };
+    let want = reopen();
+
+    std::fs::write(&journal_file, to_legacy(&current)).unwrap();
+    assert_eq!(reopen(), want, "legacy replay differs from current-format replay");
+
+    {
+        let mut repo = Repository::open_or_create(&snap, &config, &thesaurus).unwrap();
+        repo.remove("Lines").unwrap();
+        repo.sync_journal().unwrap();
+    }
+    let bytes = std::fs::read(&journal_file).unwrap();
+    let s = scan(&bytes);
+    assert_eq!(s.records.len(), 5);
+    assert!(s.stopped.is_none(), "{:?}", s.stopped);
+    let repo = Repository::open_or_create(&snap, &config, &thesaurus).unwrap();
+    assert_eq!(repo.names(), ["Orders", "Bills"]);
 }

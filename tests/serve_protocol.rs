@@ -10,7 +10,8 @@
 //! * **Loud rejection** — flipping any byte of an encoded frame, or
 //!   truncating it anywhere, must fail to read: the frame checksum (or
 //!   the strict payload decoder behind it) catches every single-byte
-//!   corruption, so a daemon never serves a damaged summary.
+//!   corruption, so a daemon never serves a damaged summary. Every
+//!   single-bit flip of a whole batch response frame is rejected too.
 
 use cupid::core::session::SimilarityEntry;
 use cupid::core::{
@@ -509,4 +510,66 @@ proptest! {
             }
         }
     }
+}
+
+/// A batched answer as the daemon ships it: `pairs` `match_pairs`
+/// results over a synthetic corpus, in one frame.
+fn batch_response_frame(pairs: usize) -> Vec<u8> {
+    use cupid::core::session::MatchSession;
+    use cupid::corpus::synthetic::{generate, SyntheticConfig};
+
+    let thesaurus = generate(&SyntheticConfig::sized(6, 7)).thesaurus;
+    let config = cupid::core::CupidConfig::default();
+    let mut session = MatchSession::new(&config, &thesaurus);
+    let schemas: Vec<_> = (0..12u64)
+        .flat_map(|seed| {
+            let p = generate(&SyntheticConfig::sized(6, 100 + seed));
+            [p.source, p.target]
+        })
+        .collect();
+    let ids: Vec<_> = schemas.iter().map(|s| session.add(s).unwrap()).collect();
+    let entries: Vec<_> = (0..pairs)
+        .map(|n| {
+            let (i, j) = (n % ids.len(), (n * 7 + 1) % ids.len());
+            Ok(BatchOutcome::Matched {
+                source: schemas[i].name().to_string(),
+                target: schemas[j].name().to_string(),
+                summary: session.match_pair(ids[i], ids[j]),
+            })
+        })
+        .collect();
+    response_frame(&Response::Batch { entries })
+}
+
+/// Every single-bit error of `frame` — magic, kind, length, payload and
+/// checksum bits alike — must fail to read. The word-wise frame
+/// checksum detects any change confined to one payload word with
+/// certainty, so this holds for every bit, not just most.
+fn assert_every_bit_flip_rejected(mut frame: Vec<u8>) {
+    for bit in 0..frame.len() * 8 {
+        frame[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            read_frame(&mut &frame[..]).is_err(),
+            "flipped bit {bit} of {} slipped through",
+            frame.len()
+        );
+        frame[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+#[test]
+fn every_single_bit_flip_of_a_batch_response_is_rejected() {
+    let frame = batch_response_frame(4);
+    assert!(frame.len() > 1024, "the frame spans many checksum blocks");
+    assert_every_bit_flip_rejected(frame);
+}
+
+/// The same over a full 64-pair answer, the size the daemon's batched
+/// path serves. Half a million flips, each re-reading the whole frame:
+/// minutes in a debug build, seconds in release, so it runs on demand
+/// (`cargo test --release --test serve_protocol -- --ignored`; CI does).
+#[test]
+#[ignore = "exhaustive over a 64-pair frame; run in release with --ignored"]
+fn every_single_bit_flip_of_a_64_pair_batch_response_is_rejected() {
+    assert_every_bit_flip_rejected(batch_response_frame(64));
 }
